@@ -149,20 +149,25 @@ class PlanCache:
             if not isinstance(split, tuple):
                 self._count_miss()
                 return None
-            fixed = tuple(values[slot] for slot in split)
-            key = (shape_key, fixed)
+            key = (shape_key, tuple(values[slot] for slot in split))
             entry = self._entries.get(key)
-            if entry is not None \
-                    and entry.fingerprint != (env, stats_fn(entry.tables)):
-                del self._entries[key]
-                self.invalidations += 1
-                if self._m_invalidations is not None:
-                    self._m_invalidations.inc()
-                entry = None
             if entry is None:
                 self._count_miss()
                 return None
-            self._entries.move_to_end(key)
+        # ``stats_fn`` runs outside the lock: it reads table sizes, and the
+        # size of ``sys.plan_cache`` is read from this cache.
+        fresh = entry.fingerprint == (env, stats_fn(entry.tables))
+        with self._lock:
+            if not fresh:
+                if self._entries.get(key) is entry:
+                    del self._entries[key]
+                    self.invalidations += 1
+                    if self._m_invalidations is not None:
+                        self._m_invalidations.inc()
+                self._count_miss()
+                return None
+            if key in self._entries:
+                self._entries.move_to_end(key)
             entry.hits += 1
             entry.last_used_at = time.time()
             self.hits += 1
@@ -190,10 +195,10 @@ class PlanCache:
             entry = self._entries.get(
                 (shape_key, tuple(values[slot] for slot in split))
             )
-            if entry is not None and env is not None \
-                    and entry.fingerprint != (env, stats_fn(entry.tables)):
-                return None
-            return entry
+        if entry is not None and env is not None \
+                and entry.fingerprint != (env, stats_fn(entry.tables)):
+            return None
+        return entry
 
     # -- promotion tracking ----------------------------------------------
 

@@ -18,11 +18,12 @@ capability models.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import random
 import time
 import warnings
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .algebra import Binder, explain as explain_plan, plan_stats, summarize_plan
 from .algebra.binder import RelationBinding, Scope
@@ -75,6 +76,18 @@ from .storage import (
 from .storage.mvcc import NO_TID
 from .storage.wal import _decode_value, _encode_value
 from .storage.wal_disk import schema_from_dict, schema_to_dict
+
+
+#: Literal value classes a unary minus applies to (bool excluded).
+_NUMERIC = (int, float, decimal.Decimal)
+
+
+class _Front(NamedTuple):
+    """A statement lexed for the plan cache (see :meth:`Database._front`)."""
+
+    shape_key: tuple
+    values: list
+    tokens: list
 
 
 class Database:
@@ -277,54 +290,7 @@ class Database:
         Returns a :class:`QueryResult` for queries, an affected-row count for
         DML, and None for DDL.
         """
-        recorder = self.capture
-        if recorder is None:
-            return self._execute_inner(sql, txn)
-        started_at = time.time()
-        started = time.perf_counter()
-        try:
-            outcome = self._execute_inner(sql, txn)
-        except BaseException as exc:
-            recorder.record_error(sql, started_at, time.perf_counter() - started, exc)
-            raise
-        recorder.record_statement(sql, started_at, time.perf_counter() - started, outcome)
-        return outcome
-
-    def _execute_inner(self, sql: str, txn: Transaction | None):
-        # SELECTs routed through execute() share the plan cache with
-        # query(); the prefix gate keeps DDL/DML off the probe path.
-        if (self.plan_cache is not None and not self.spans.enabled
-                and sql.lstrip()[:6].upper() == "SELECT"):
-            return self._query_with_plan_cache(sql, txn, None)
-        if not self.spans.enabled:
-            parse_started = time.perf_counter()
-            statement = parse_statement(sql)
-            parse_s = time.perf_counter() - parse_started
-            return self._route(statement, txn, sql, parse_s)
-        with self.spans.span("query", sql=sql):
-            parse_started = time.perf_counter()
-            with self.spans.span("parse"):
-                statement = parse_statement(sql)
-            parse_s = time.perf_counter() - parse_started
-            return self._route(statement, txn, sql, parse_s)
-
-    def _route(self, statement, txn: Transaction | None, sql: str,
-               parse_s: float | None = None):
-        if isinstance(statement, ast.Query):
-            return self._run_query(statement, txn, sql=sql, parse_s=parse_s)
-        if isinstance(statement, ast.CreateTable):
-            return self._create_table(statement)
-        if isinstance(statement, ast.CreateView):
-            return self._create_view(statement, sql)
-        if isinstance(statement, ast.DropStatement):
-            return self._drop(statement)
-        if isinstance(statement, ast.Insert):
-            return self._with_txn(txn, lambda t: self._insert(statement, t))
-        if isinstance(statement, ast.Update):
-            return self._with_txn(txn, lambda t: self._update(statement, t))
-        if isinstance(statement, ast.Delete):
-            return self._with_txn(txn, lambda t: self._delete(statement, t))
-        raise ExecutionError(f"unsupported statement {type(statement).__name__}")
+        return self._statement(sql, txn, query_only=False)
 
     def query(
         self,
@@ -346,52 +312,148 @@ class Database:
         budget.  A deadline already in the past raises
         :class:`QueryTimeoutError` up front, before any planning work.
         When both are given the earlier one wins."""
-        recorder = self.capture
-        if recorder is None:
-            return self._query_inner(sql, txn, optimize, timeout, deadline)
-        started_at = time.time()
-        started = time.perf_counter()
-        try:
-            result = self._query_inner(sql, txn, optimize, timeout, deadline)
-        except BaseException as exc:
-            recorder.record_error(sql, started_at, time.perf_counter() - started, exc)
-            raise
-        recorder.record_statement(sql, started_at, time.perf_counter() - started, result)
-        return result
+        return self._statement(sql, txn, query_only=True, optimize=optimize,
+                               timeout=timeout, deadline=deadline)
 
-    def _query_inner(
+    def _front(self, sql: str, query_only: bool) -> "_Front | None":
+        """Lex a statement the plan cache may serve.
+
+        None when the cache does not apply: it is off, spans are on, the
+        statement is not a query (``execute`` gates on a SELECT prefix), or
+        the lexer rejects the text — the parse then raises properly.
+        Callers parse with ``tokens=front.tokens, parameterize=True`` so
+        the one parse serves both the normal run and a later promotion.
+        """
+        if self.plan_cache is None or self.spans.enabled:
+            return None
+        if not query_only and sql.lstrip()[:6].upper() != "SELECT":
+            return None
+        from .sql.normalize import extract_shape
+
+        try:
+            shape, values, tokens = extract_shape(sql)
+        except Exception:
+            return None
+        from .datatypes import type_of_literal
+
+        shape_key = (shape, tuple(type_of_literal(v) for v in values))
+        return _Front(shape_key, values, tokens)
+
+    def _statement(
         self,
         sql: str,
         txn: Transaction | None,
+        query_only: bool,
+        optimize: bool = True,
+        timeout: float | None = None,
+        deadline: float | None = None,
+        parsed: "tuple[ast.Statement, _Front | None, float] | None" = None,
+    ):
+        """The one statement path under :meth:`execute`, :meth:`query` and
+        the serving layer.
+
+        ``parsed`` is ``(statement, front, parse_s)`` from a caller that
+        already ran the front end — a serving session parses for its access
+        check — so a served statement is lexed once and parsed at most once.
+        """
+        recorder = self.capture
+        if recorder is None:
+            return self._statement_inner(sql, txn, query_only, optimize,
+                                         timeout, deadline, parsed)
+        started_at = time.time()
+        started = time.perf_counter()
+        try:
+            outcome = self._statement_inner(sql, txn, query_only, optimize,
+                                            timeout, deadline, parsed)
+        except BaseException as exc:
+            recorder.record_error(sql, started_at, time.perf_counter() - started, exc)
+            raise
+        recorder.record_statement(sql, started_at, time.perf_counter() - started, outcome)
+        return outcome
+
+    def _statement_inner(
+        self,
+        sql: str,
+        txn: Transaction | None,
+        query_only: bool,
         optimize: bool,
         timeout: float | None,
-        submitted_deadline: float | None = None,
-    ) -> QueryResult:
+        submitted_deadline: float | None,
+        parsed: "tuple[ast.Statement, _Front | None, float] | None",
+    ):
         deadline = None if timeout is None else time.monotonic() + timeout
         if submitted_deadline is not None:
             deadline = (
                 submitted_deadline if deadline is None
                 else min(deadline, submitted_deadline)
             )
-        if not self.spans.enabled:
-            if self.plan_cache is not None and optimize:
-                return self._query_with_plan_cache(sql, txn, deadline)
+        if self.spans.enabled:
+            with self.spans.span("query", sql=sql):
+                if parsed is None:
+                    parse_started = time.perf_counter()
+                    with self.spans.span("parse"):
+                        statement = parse_statement(sql)
+                    parse_s = time.perf_counter() - parse_started
+                else:
+                    statement, _, parse_s = parsed
+                return self._route(statement, txn, sql, parse_s, query_only,
+                                   optimize, deadline)
+        if parsed is None:
             parse_started = time.perf_counter()
-            statement = parse_statement(sql)
+            front = self._front(sql, query_only) if optimize else None
+            # On the cache path the parse waits for the probe: a hit needs none.
+            statement = parse_statement(sql) if front is None else None
             parse_s = time.perf_counter() - parse_started
-            if not isinstance(statement, ast.Query):
-                raise ExecutionError("query() expects a SELECT statement")
+        else:
+            statement, front, parse_s = parsed
+        if front is None:
+            return self._route(statement, txn, sql, parse_s, query_only,
+                               optimize, deadline)
+        # The plan-cache path: a hit skips parse, bind, and every optimizer
+        # pass — the cached generic plan gets this statement's literal
+        # values substituted for its Param slots and compiles straight to
+        # the physical tree (or reuses the previously compiled tree on an
+        # exact value repeat).
+        cache = self.plan_cache
+        entry = cache.probe(front.shape_key, front.values,
+                            self._plan_cache_env(), self._plan_cache_stats_sig)
+        if entry is not None:
+            return self._run_cached_hit(entry, front.values, txn, deadline,
+                                        sql, parse_s)
+        if statement is None:
+            parse_started = time.perf_counter()
+            statement = parse_statement(sql, tokens=front.tokens, parameterize=True)
+            parse_s += time.perf_counter() - parse_started
+        if not isinstance(statement, ast.Query):
+            raise ExecutionError("query() expects a SELECT statement")
+        result = self._run_query(statement, txn, True, sql=sql,
+                                 deadline=deadline, parse_s=parse_s)
+        if cache.should_promote(front.shape_key):
+            self._promote_shape(front.shape_key, statement, front.values,
+                                result.stats)
+        return result
+
+    def _route(self, statement, txn: Transaction | None, sql: str,
+               parse_s: float | None, query_only: bool = False,
+               optimize: bool = True, deadline: float | None = None):
+        if isinstance(statement, ast.Query):
             return self._run_query(statement, txn, optimize, sql=sql,
                                    deadline=deadline, parse_s=parse_s)
-        with self.spans.span("query", sql=sql):
-            parse_started = time.perf_counter()
-            with self.spans.span("parse"):
-                statement = parse_statement(sql)
-            parse_s = time.perf_counter() - parse_started
-            if not isinstance(statement, ast.Query):
-                raise ExecutionError("query() expects a SELECT statement")
-            return self._run_query(statement, txn, optimize, sql=sql,
-                                   deadline=deadline, parse_s=parse_s)
+        if query_only:
+            raise ExecutionError("query() expects a SELECT statement")
+        if isinstance(statement, ast.CreateTable):
+            return self._create_table(statement)
+        if isinstance(statement, ast.CreateView):
+            return self._create_view(statement, sql)
+        if isinstance(statement, ast.DropStatement):
+            return self._drop(statement)
+        if isinstance(statement, ast.Insert):
+            return self._with_txn(txn, lambda t: self._insert(statement, t))
+        if isinstance(statement, ast.Update):
+            return self._with_txn(txn, lambda t: self._update(statement, t))
+        if isinstance(statement, ast.Delete):
+            return self._with_txn(txn, lambda t: self._delete(statement, t))
+        raise ExecutionError(f"unsupported statement {type(statement).__name__}")
 
     def _run_query(
         self,
@@ -562,49 +624,6 @@ class Database:
 
     # -- parameterized plan cache ---------------------------------------------
 
-    def _query_with_plan_cache(
-        self, sql: str, txn: Transaction | None, deadline: float | None,
-    ) -> QueryResult:
-        """The plan-cache statement path: probe → hit or normal-run+promote.
-
-        A hit skips parse, bind, and every optimizer pass: the cached
-        generic plan gets this statement's literal values substituted for
-        its Param slots and compiles straight to the physical tree (or
-        reuses the previously compiled tree on an exact value repeat).
-        Anything unusual — lexer failure, non-query statements, shapes the
-        promotion gates refused — falls back to the fully normal path.
-        """
-        from .sql.normalize import extract_shape
-
-        cache = self.plan_cache
-        parse_started = time.perf_counter()
-        try:
-            shape, values, tokens = extract_shape(sql)
-        except Exception:
-            shape = values = tokens = None  # normal path raises properly
-        if shape is not None:
-            from .datatypes import type_of_literal
-
-            shape_key = (shape, tuple(type_of_literal(v) for v in values))
-            entry = cache.probe(
-                shape_key, values, self._plan_cache_env(),
-                self._plan_cache_stats_sig,
-            )
-            if entry is not None:
-                parse_s = time.perf_counter() - parse_started
-                return self._run_cached_hit(
-                    entry, values, txn, deadline, sql, parse_s
-                )
-        statement = parse_statement(sql, tokens=tokens)
-        parse_s = time.perf_counter() - parse_started
-        if not isinstance(statement, ast.Query):
-            raise ExecutionError("query() expects a SELECT statement")
-        result = self._run_query(statement, txn, True, sql=sql,
-                                 deadline=deadline, parse_s=parse_s)
-        if shape is not None and cache.should_promote(shape_key):
-            self._promote_shape(shape_key, sql, tokens, values, result.stats)
-        return result
-
     def _plan_cache_env(self) -> tuple:
         """Environment head of the hit-time fingerprint: anything that can
         change plan choice without touching the statement text."""
@@ -765,9 +784,12 @@ class Database:
             self.commit(snapshot)
 
     def _promote_shape(
-        self, shape_key: tuple, sql: str, tokens, values: list, stats,
+        self, shape_key: tuple, statement: ast.Query, values: list, stats,
     ) -> None:
         """Build and store the generic plan for a shape seen twice.
+
+        ``statement`` was parsed with ``parameterize=True``: its literals
+        carry their slots, which only a parameterizing binder reads.
 
         The value-bound execution that just finished is the reference:
         the generic (Param-bound) optimization must fire *exactly* the
@@ -791,10 +813,6 @@ class Database:
         cache = self.plan_cache
         env = self._plan_cache_env()  # before bind: later DDL must mismatch
         try:
-            statement = parse_statement(sql, tokens=tokens, parameterize=True)
-            if not isinstance(statement, ast.Query):
-                cache.mark_uncacheable(shape_key)
-                return
             plan = Binder(self.catalog, parameterize=True).bind_query(statement)
             operators_before = sum(1 for _ in plan.walk())
             tally = RewriteTally()
@@ -828,20 +846,12 @@ class Database:
     def _plan_cache_peek(self, sql: str):
         """The live cache entry this statement would hit, or None — no LRU
         touch, no counters (the EXPLAIN ``(cached)`` annotation)."""
-        cache = self.plan_cache
-        if cache is None:
+        front = self._front(sql, query_only=True)
+        if front is None:
             return None
-        from .sql.normalize import extract_shape
-
-        try:
-            shape, values, _ = extract_shape(sql)
-        except Exception:
-            return None
-        from .datatypes import type_of_literal
-
-        shape_key = (shape, tuple(type_of_literal(v) for v in values))
-        return cache.peek(shape_key, values, self._plan_cache_env(),
-                          self._plan_cache_stats_sig)
+        return self.plan_cache.peek(front.shape_key, front.values,
+                                    self._plan_cache_env(),
+                                    self._plan_cache_stats_sig)
 
     def _plan_with_trace(
         self, query: "str | ast.Query", optimize: bool, sql: str | None = None,
@@ -1081,12 +1091,21 @@ class Database:
         binder = Binder(self.catalog)
         empty_scope = Scope([])
         one_row = Chunk({}, 1)
+
+        def value_of(value_ast: ast.Expr) -> object:
+            # Bare and negated numeric literals (nearly every VALUES item)
+            # skip binding: the result is the one evaluate() would give.
+            if value_ast.__class__ is ast.Literal:
+                return value_ast.value
+            if (value_ast.__class__ is ast.UnaryOp and value_ast.op == "-"
+                    and value_ast.operand.__class__ is ast.Literal
+                    and value_ast.operand.value.__class__ in _NUMERIC):
+                return -value_ast.operand.value
+            bound = binder._bind_scalar(value_ast, empty_scope, allow_agg=False)
+            return evaluate(bound, one_row)[0]
+
         for value_row in statement.rows:
-            values = []
-            for value_ast in value_row:
-                bound = binder._bind_scalar(value_ast, empty_scope, allow_agg=False)
-                values.append(evaluate(bound, one_row)[0])
-            table.insert(txn, build_row(values))
+            table.insert(txn, build_row([value_of(v) for v in value_row]))
             count += 1
         return count
 

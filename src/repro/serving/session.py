@@ -10,7 +10,7 @@ and :meth:`Database.health` can see it.
 Every statement submitted through a session runs the same pipeline::
 
     breaker.allow -> token bucket -> namespace check -> admission queue
-        -> Database.query/execute (deadline stamped at submission)
+        -> Database statement path (deadline stamped at submission)
         -> breaker.record_success/record_failure
 
 Deadlines are stamped *at submission*, before the admission queue, so
@@ -255,6 +255,8 @@ class SessionManager:
                 query_only: bool):
         submitted = time.monotonic()
         if not session._slock.acquire(blocking=False):
+            if session.state == CLOSED:  # closing holds the lock to roll back
+                raise ExecutionError(f"session {session.session_id} is closed")
             raise ExecutionError(
                 f"session {session.session_id} already has a statement in "
                 "flight; a session runs one statement at a time"
@@ -298,9 +300,16 @@ class SessionManager:
                         retry_after=wait_hint,
                     )
             # Scope check before queueing: a cross-tenant statement must
-            # not consume a slot.  (The statement is parsed again inside
-            # the engine; parse cost is trivial next to a queue slot.)
-            statement = parse_statement(sql)
+            # not consume a slot.  The parse is handed to the engine, so
+            # the statement is lexed once and parsed once.
+            parse_started = time.perf_counter()
+            front = self.db._front(sql, query_only)
+            if front is None:
+                statement = parse_statement(sql)
+            else:
+                statement = parse_statement(sql, tokens=front.tokens,
+                                            parameterize=True)
+            parsed = (statement, front, time.perf_counter() - parse_started)
             if query_only and not isinstance(statement, ast.Query):
                 raise ExecutionError("query() expects a SELECT statement")
             self.tenants.check_access(session.tenant, statement)
@@ -309,8 +318,7 @@ class SessionManager:
             try:
                 def work():
                     session.state = RUNNING
-                    return self._run_statement(session, statement, sql,
-                                               deadline)
+                    return self._run_statement(session, sql, parsed, deadline)
 
                 outcome = self.admission.run(work, deadline=deadline)
             except QueryTimeoutError:
@@ -344,21 +352,19 @@ class SessionManager:
             if probe and not settled:
                 tenant.breaker.cancel_probe()
 
-    def _run_statement(self, session: Session, statement, sql: str,
+    def _run_statement(self, session: Session, sql: str, parsed: tuple,
                        deadline: float | None):
-        db = self.db
-        if isinstance(statement, ast.Query):
-            result = db.query(sql, txn=session._txn, deadline=deadline)
-            session.queries_run += 1
-            if result.stats is not None:
-                session.last_query_id = result.stats.query_id
-            return result
         # DML/DDL: cooperative deadlines only cover the queue wait (the
         # write paths have no per-batch deadline checks); an already-spent
         # budget still fails before execution via admission.
-        outcome = db.execute(sql, txn=session._txn)
+        outcome = self.db._statement(sql, session._txn, query_only=False,
+                                     deadline=deadline, parsed=parsed)
         session.queries_run += 1
-        if isinstance(statement, (ast.CreateTable, ast.CreateView)):
+        statement = parsed[0]
+        if isinstance(statement, ast.Query):
+            if outcome.stats is not None:
+                session.last_query_id = outcome.stats.query_id
+        elif isinstance(statement, (ast.CreateTable, ast.CreateView)):
             self.tenants.claim(session.tenant, statement.name)
         elif isinstance(statement, ast.DropStatement):
             self.tenants.release(statement.name)

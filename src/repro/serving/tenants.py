@@ -176,6 +176,8 @@ class TenantRegistry:
         """Raise :class:`TenantAccessError` if ``statement`` references a
         table owned by a different tenant.  ``sys.*`` and unowned (shared)
         tables are readable by everyone."""
+        if not self._owners:
+            return  # nothing is owned: skip the AST walk
         lowered = (tenant or DEFAULT_TENANT).lower()
         for name in referenced_tables(statement):
             if name.startswith(SYS_PREFIX):

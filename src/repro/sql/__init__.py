@@ -45,5 +45,5 @@ from .ast import (  # noqa: F401
     IsNull,
     ExprMacroDef,
 )
-from .lexer import Lexer, Token, TokenType  # noqa: F401
+from .lexer import Token, TokenType, tokenize  # noqa: F401
 from .parser import Parser, parse_sql, parse_statement, parse_expression  # noqa: F401

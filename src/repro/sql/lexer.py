@@ -4,13 +4,20 @@ Produces a flat list of :class:`Token` objects.  Keywords are recognized
 case-insensitively and reported with a dedicated token type so the parser can
 match on them directly; identifiers preserve their original text but compare
 case-insensitively downstream (the catalog lower-cases names).
+
+The scanner is one compiled regular expression whose top-level alternatives
+are numbered groups: each match is one token (with the blanks before it), one
+comment, or a run of other whitespace, and ``match.lastindex`` says which.
+Positions are 1-based; only ``\\n`` starts a new line, so a column counts
+every other character.
 """
 
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
+import re
 from enum import Enum
+from typing import NoReturn
 
 from ..errors import SqlSyntaxError
 
@@ -36,20 +43,30 @@ KEYWORDS = {
     "EXACT", "TO", "TRUE", "FALSE", "EXISTS", "IF", "DEFAULT",
 }
 
-_TWO_CHAR_OPERATORS = {"<=", ">=", "<>", "!=", "||"}
-_ONE_CHAR_OPERATORS = {"=", "<", ">", "+", "-", "*", "/", "%"}
-_PUNCT = {"(", ")", ",", ".", ";"}
 
-
-@dataclass(frozen=True)
 class Token:
     """A single lexical token with its source position (1-based)."""
 
-    type: TokenType
-    text: str
-    value: object = None
-    line: int = 0
-    column: int = 0
+    __slots__ = ("type", "text", "value", "line", "column")
+
+    def __init__(self, type: TokenType, text: str, value: object = None,
+                 line: int = 0, column: int = 0):
+        self.type = type
+        self.text = text
+        self.value = value
+        self.line = line
+        self.column = column
+
+    def _key(self) -> tuple:
+        return (self.type, self.text, self.value, self.line, self.column)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def is_keyword(self, *names: str) -> bool:
         return self.type is TokenType.KEYWORD and self.text in names
@@ -58,156 +75,102 @@ class Token:
         return f"Token({self.type.name}, {self.text!r})"
 
 
-class Lexer:
-    """Single-pass tokenizer over a SQL string."""
-
-    def __init__(self, text: str):
-        self._text = text
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-
-    def tokenize(self) -> list[Token]:
-        tokens: list[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self._pos >= len(self._text):
-                tokens.append(Token(TokenType.EOF, "", line=self._line, column=self._col))
-                return tokens
-            tokens.append(self._next_token())
-
-    # -- internals -----------------------------------------------------
-
-    def _error(self, message: str) -> SqlSyntaxError:
-        return SqlSyntaxError(message, line=self._line, column=self._col)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        return self._text[index] if index < len(self._text) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        chunk = self._text[self._pos:self._pos + count]
-        for ch in chunk:
-            if ch == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-        self._pos += count
-        return chunk
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self._pos < len(self._text):
-            ch = self._peek()
-            if ch.isspace():
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self._pos < len(self._text) and not (self._peek() == "*" and self._peek(1) == "/"):
-                    self._advance()
-                if self._pos >= len(self._text):
-                    raise self._error("unterminated block comment")
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        line, col = self._line, self._col
-        ch = self._peek()
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._lex_number(line, col)
-        if ch.isalpha() or ch == "_":
-            return self._lex_word(line, col)
-        if ch == '"':
-            return self._lex_quoted_identifier(line, col)
-        if ch == "'":
-            return self._lex_string(line, col)
-        two = self._text[self._pos:self._pos + 2]
-        if two in _TWO_CHAR_OPERATORS:
-            self._advance(2)
-            return Token(TokenType.OPERATOR, two, line=line, column=col)
-        if ch in _ONE_CHAR_OPERATORS:
-            self._advance()
-            return Token(TokenType.OPERATOR, ch, line=line, column=col)
-        if ch in _PUNCT:
-            self._advance()
-            return Token(TokenType.PUNCT, ch, line=line, column=col)
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _lex_number(self, line: int, col: int) -> Token:
-        start = self._pos
-        saw_dot = False
-        saw_exp = False
-        while self._pos < len(self._text):
-            ch = self._peek()
-            if ch.isdigit():
-                self._advance()
-            elif ch == "." and not saw_dot and not saw_exp:
-                saw_dot = True
-                self._advance()
-            elif ch in "eE" and not saw_exp and self._pos > start:
-                nxt = self._peek(1)
-                if nxt.isdigit() or (nxt in "+-" and self._peek(2).isdigit()):
-                    saw_exp = True
-                    self._advance(2 if nxt in "+-" else 1)
-                else:
-                    break
-            else:
-                break
-        text = self._text[start:self._pos]
-        if saw_exp:
-            value: object = float(text)
-        elif saw_dot:
-            value = decimal.Decimal(text)
-        else:
-            value = int(text)
-        return Token(TokenType.NUMBER, text, value=value, line=line, column=col)
-
-    def _lex_word(self, line: int, col: int) -> Token:
-        start = self._pos
-        while self._pos < len(self._text) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        text = self._text[start:self._pos]
-        upper = text.upper()
-        if upper in KEYWORDS:
-            return Token(TokenType.KEYWORD, upper, line=line, column=col)
-        return Token(TokenType.IDENTIFIER, text, line=line, column=col)
-
-    def _lex_quoted_identifier(self, line: int, col: int) -> Token:
-        self._advance()  # opening quote
-        start = self._pos
-        while self._pos < len(self._text) and self._peek() != '"':
-            self._advance()
-        if self._pos >= len(self._text):
-            raise self._error("unterminated quoted identifier")
-        text = self._text[start:self._pos]
-        self._advance()  # closing quote
-        return Token(TokenType.IDENTIFIER, text, line=line, column=col)
-
-    def _lex_string(self, line: int, col: int) -> Token:
-        self._advance()  # opening quote
-        parts: list[str] = []
-        while True:
-            if self._pos >= len(self._text):
-                raise self._error("unterminated string literal")
-            ch = self._peek()
-            if ch == "'":
-                if self._peek(1) == "'":  # escaped quote
-                    parts.append("'")
-                    self._advance(2)
-                else:
-                    self._advance()
-                    break
-            else:
-                parts.append(ch)
-                self._advance()
-        value = "".join(parts)
-        return Token(TokenType.STRING, value, value=value, line=line, column=col)
+# Group numbers are the token kinds below; nested groups sit inside their
+# alternative, so ``lastindex`` is always the alternative's own number.
+# Unterminated comments, strings and quoted identifiers still match (their
+# closing group is empty) so the error can be raised at end of input.
+_SCANNER = re.compile(
+    r"""
+    [^\S\n]*                                       # blanks before a token
+  (?:
+    (\s+)                                         # 1 whitespace
+  | (--[^\n]*)                                    # 2 line comment
+  | (/\*.*?(\*/|\Z))                              # 3 block comment (4: close)
+  | ((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)    # 5 number
+  | ([^\W\d]\w*)                                  # 6 word
+  | ('([^']*(?:''[^']*)*)('?))                    # 7 string (8: body, 9: close)
+  | ("([^"]*)("?))                                # 10 quoted identifier
+  | (<=|>=|<>|!=|\|\||[-=<>+*/%])                 # 13 operator
+  | ([(),.;])                                     # 14 punctuation
+  | (.)                                           # 15 anything else
+  )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_WS, _LINE_COMMENT, _BLOCK_COMMENT, _NUMBER, _WORD = 1, 2, 3, 5, 6
+_STRING, _QUOTED, _OPERATOR, _PUNCT = 7, 10, 13, 14
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text`` into a list ending with an EOF token."""
-    return Lexer(text).tokenize()
+    tokens: list[Token] = []
+    append = tokens.append
+    keywords = KEYWORDS
+    KEYWORD, IDENTIFIER, NUMBER = TokenType.KEYWORD, TokenType.IDENTIFIER, TokenType.NUMBER
+    line, line_start = 1, 0  # line_start: offset of the current line's first char
+    for match in _SCANNER.finditer(text):
+        kind = match.lastindex
+        start = match.start(kind)
+        if kind == _WORD:
+            word = match.group(_WORD)
+            if not word.isascii() and not (word[0].isalpha() or word[0] == "_"):
+                # ``\w`` also admits non-decimal numerics ("²", "½").
+                _fail(text, f"unexpected character {word[0]!r}", start)
+            upper = word.upper()
+            if upper in keywords:
+                append(Token(KEYWORD, upper, None, line, start - line_start + 1))
+            else:
+                append(Token(IDENTIFIER, word, None, line, start - line_start + 1))
+        elif kind == _WS:
+            line, line_start = _advance_lines(text, start, match.end(), line, line_start)
+        elif kind == _PUNCT:
+            append(Token(TokenType.PUNCT, match.group(_PUNCT), None, line,
+                         start - line_start + 1))
+        elif kind == _NUMBER:
+            number = match.group(_NUMBER)
+            if "e" in number or "E" in number:
+                value: object = float(number)
+            elif "." in number:
+                value = decimal.Decimal(number)
+            else:
+                value = int(number)
+            append(Token(NUMBER, number, value, line, start - line_start + 1))
+        elif kind == _STRING:
+            if not match.group(9):
+                _fail(text, "unterminated string literal", len(text))
+            value = match.group(8).replace("''", "'")
+            append(Token(TokenType.STRING, value, value, line, start - line_start + 1))
+            line, line_start = _advance_lines(text, start, match.end(), line, line_start)
+        elif kind == _OPERATOR:
+            append(Token(TokenType.OPERATOR, match.group(_OPERATOR), None, line,
+                         start - line_start + 1))
+        elif kind == _LINE_COMMENT:
+            pass
+        elif kind == _BLOCK_COMMENT:
+            if not match.group(4):
+                _fail(text, "unterminated block comment", len(text))
+            line, line_start = _advance_lines(text, start, match.end(), line, line_start)
+        elif kind == _QUOTED:
+            if not match.group(12):
+                _fail(text, "unterminated quoted identifier", len(text))
+            append(Token(IDENTIFIER, match.group(11), None, line, start - line_start + 1))
+            line, line_start = _advance_lines(text, start, match.end(), line, line_start)
+        else:
+            _fail(text, f"unexpected character {match.group(kind)!r}", start)
+    append(Token(TokenType.EOF, "", None, line, len(text) - line_start + 1))
+    return tokens
+
+
+def _advance_lines(text: str, start: int, end: int, line: int,
+                   line_start: int) -> tuple[int, int]:
+    """``(line, line_start)`` after the span ``text[start:end]``."""
+    newlines = text.count("\n", start, end)
+    if not newlines:
+        return line, line_start
+    return line + newlines, text.rindex("\n", start, end) + 1
+
+
+def _fail(text: str, message: str, offset: int) -> NoReturn:
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    raise SqlSyntaxError(message, line=line, column=column)

@@ -36,6 +36,7 @@ _SIMPLE_TYPES: dict[str, DataType] = {
 }
 
 _COMPARISON_OPS = {"=", "<", ">", "<=", ">=", "<>", "!="}
+_LITERAL_TOKENS = (TokenType.NUMBER, TokenType.STRING)
 
 
 class Parser:
@@ -701,11 +702,31 @@ class Parser:
 
     def _parse_value_row(self) -> tuple[ast.Expr, ...]:
         self._expect_punct("(")
-        values = [self._parse_expr()]
+        values = [self._parse_value()]
         while self._match_punct(","):
-            values.append(self._parse_expr())
+            values.append(self._parse_value())
         self._expect_punct(")")
         return tuple(values)
+
+    def _parse_value(self) -> ast.Expr:
+        """One VALUES item.  A bare or sign-prefixed NUMBER/STRING/NULL
+        followed by ``,`` or ``)`` skips the expression descent; the tree
+        is the one :meth:`_parse_expr` builds for it."""
+        tokens = self._tokens
+        pos = self._pos
+        token = tokens[pos]
+        sign = None
+        if token.type is TokenType.OPERATOR and token.text in ("-", "+"):
+            sign = token.text
+            pos += 1
+            token = tokens[pos]
+        if token.type in _LITERAL_TOKENS or token.is_keyword("NULL"):
+            follow = tokens[pos + 1]
+            if follow.type is TokenType.PUNCT and follow.text in (",", ")"):
+                self._pos = pos + 1
+                literal = ast.Literal(token.value, param_slot=self._param_slots.get(pos))
+                return ast.UnaryOp("-", literal) if sign == "-" else literal
+        return self._parse_expr()
 
     def _parse_update(self) -> ast.Update:
         self._expect_keyword("UPDATE")

@@ -93,9 +93,13 @@ class TransactionManager:
             self._commit_ts[txn.tid] = ts
             txn.commit_ts = ts
             txn.status = TransactionStatus.COMMITTED
+            wrote = bool(txn.undo)
             txn.undo.clear()
             del self._active[txn.tid]
-            if self._wal is not None:
+            # A read-only transaction (every autocommit SELECT's snapshot)
+            # left nothing in the log to commit, so it pays no log record
+            # and no fsync.
+            if wrote and self._wal is not None:
                 self._wal.log_commit(txn.tid)
         if self._m_commits is not None:
             self._m_commits.inc()

@@ -51,9 +51,11 @@ class ColumnTable:
         # bootstrap, never deleted), every snapshot sees all rows and scans
         # skip per-row visibility checks entirely.
         self._mvcc_dirty = False
-        # One multimap per unique constraint: key tuple -> candidate row ids.
-        # Entries are superset approximations; visibility is re-checked on use.
-        self._unique_indexes: list[dict[tuple, set[int]]] = [
+        # One multimap per unique constraint: key tuple -> candidate row ids,
+        # held as a bare row id until a second version shares the key (an
+        # MVCC update), then as a set.  Entries are superset
+        # approximations; visibility is re-checked on use.
+        self._unique_indexes: list[dict[tuple, int | set[int]]] = [
             {} for _ in schema.unique_constraints
         ]
 
@@ -152,10 +154,13 @@ class ColumnTable:
         row_id = len(self.created_tids)
         for col, value in zip(columns, coerced):
             self._columns[col.name].append(value)
-        self.created_tids.append(created_tid)
+        # created_tids grows last: a lock-free reader sizes its scan by it,
+        # so every other per-row array, and the dirty flag that turns on
+        # visibility checks, must already cover the row.
         self.deleted_tids.append(NO_TID)
         if created_tid != NO_TID:
             self._mvcc_dirty = True
+        self.created_tids.append(created_tid)
         self._index_row(row_id, coerced)
         return row_id
 
@@ -170,27 +175,41 @@ class ColumnTable:
         return None if any(v is None for v in key) else key
 
     def _index_row(self, row_id: int, values: Sequence[object]) -> None:
-        for i in range(len(self._unique_indexes)):
+        for i, index in enumerate(self._unique_indexes):
             key = self._key_of(i, values)
-            if key is not None:
-                self._unique_indexes[i].setdefault(key, set()).add(row_id)
+            if key is None:
+                continue
+            held = index.get(key)
+            if held is None:
+                index[key] = row_id
+            elif held.__class__ is int:
+                index[key] = {held, row_id}
+            else:
+                held.add(row_id)
 
     def _unindex_row(self, row_id: int, values: Sequence[object]) -> None:
-        for i in range(len(self._unique_indexes)):
+        for i, index in enumerate(self._unique_indexes):
             key = self._key_of(i, values)
-            if key is not None:
-                bucket = self._unique_indexes[i].get(key)
-                if bucket is not None:
-                    bucket.discard(row_id)
-                    if not bucket:
-                        del self._unique_indexes[i][key]
+            held = None if key is None else index.get(key)
+            if held is None:
+                continue
+            if held.__class__ is int:
+                if held == row_id:
+                    del index[key]
+            else:
+                held.discard(row_id)
+                if not held:
+                    del index[key]
 
     def _check_unique(self, values: Sequence[object], writer_tid: int) -> None:
         for i, constraint in enumerate(self.schema.unique_constraints):
             key = self._key_of(i, values)
             if key is None:
                 continue  # SQL semantics: NULLs never collide
-            for row_id in self._unique_indexes[i].get(key, ()):
+            held = self._unique_indexes[i].get(key)
+            if held is None:
+                continue
+            for row_id in ((held,) if held.__class__ is int else held):
                 if self._version_conflicts(row_id, writer_tid):
                     label = "PRIMARY KEY" if constraint.is_primary else "UNIQUE"
                     raise ConstraintError(

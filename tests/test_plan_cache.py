@@ -9,6 +9,8 @@ and the normalize_sql fallback fix this PR ships alongside.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import Database
@@ -345,6 +347,41 @@ class TestDatabaseWiring:
     def test_queries_executed_counts_hits(self, db):
         _spin(db, SQL, runs=5)
         assert db.metrics.snapshot()["queries.executed"] == 5
+
+    def test_repeated_sys_plan_cache_reads_do_not_deadlock(self):
+        # The entry's stats signature reads the size of sys.plan_cache,
+        # which takes the cache lock: probe must not hold it meanwhile.
+        database = Database(wal_enabled=False)
+        counts = []
+
+        def read():
+            for _ in range(4):
+                counts.append(database.query(
+                    "select count(*) from sys.plan_cache").scalar())
+
+        worker = threading.Thread(target=read, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "PlanCache.probe deadlocked"
+        assert len(counts) == 4
+        # each probe reached the stats check: the entry's own promotion
+        # changed the size of sys.plan_cache, so it is invalidated
+        assert database.plan_cache.invalidations >= 1
+
+    def test_one_parse_serves_the_run_and_the_promotion(self, db, monkeypatch):
+        from repro.sql import parser
+
+        parses = []
+        original = parser.Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            parses.append(args[0])
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(parser.Parser, "__init__", counting)
+        _spin(db, SQL)
+        assert db.plan_cache.hits == 1
+        assert len(parses) == 2  # runs 1-2 parse; run 2 also promotes
 
 
 # ---------------------------------------------------------------------------

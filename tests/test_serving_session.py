@@ -150,6 +150,89 @@ def test_cross_tenant_rejection_does_not_consume_a_slot(manager, db):
     globex.close()
 
 
+def test_access_check_skips_the_ast_walk_when_nothing_is_owned(
+        manager, monkeypatch):
+    from repro.serving import tenants
+
+    def walk(statement):
+        raise AssertionError("referenced_tables ran with no owned table")
+
+    monkeypatch.setattr(tenants, "referenced_tables", walk)
+    with manager.session("acme") as session:
+        assert session.execute("insert into shared values (3, 30)") == 1
+        assert session.query("select count(*) from shared").rows == [(3,)]
+
+
+def test_owned_table_rejects_other_tenants_dml(manager):
+    acme = manager.session("acme")
+    globex = manager.session("globex")
+    acme.execute("create table ledger (id int primary key, v int)")
+    with pytest.raises(TenantAccessError):
+        globex.execute("insert into ledger values (1, -5)")
+    assert acme.execute("insert into ledger values (1, -5)") == 1
+    assert acme.query("select v from ledger").rows == [(-5,)]
+    acme.close()
+    globex.close()
+
+
+# -- one lex and one parse per served statement --------------------------------
+
+
+@pytest.fixture()
+def front_end_calls(monkeypatch):
+    """Counts lexer runs and parses (one Parser per parse)."""
+    from repro.sql import lexer, normalize, parser
+
+    calls = {"lex": 0, "parse": 0}
+
+    def counting_tokenize(text):
+        calls["lex"] += 1
+        return lexer.tokenize(text)
+
+    original_init = parser.Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls["parse"] += 1
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(parser, "tokenize", counting_tokenize)
+    monkeypatch.setattr(normalize, "tokenize", counting_tokenize)
+    monkeypatch.setattr(parser.Parser, "__init__", counting_init)
+    return calls
+
+
+def test_served_insert_is_lexed_and_parsed_once(manager, front_end_calls):
+    with manager.session() as session:
+        assert session.execute("insert into shared values (3, -30)") == 1
+    assert front_end_calls == {"lex": 1, "parse": 1}
+
+
+def test_served_select_hitting_the_plan_cache_is_lexed_once(
+        manager, db, front_end_calls):
+    sql = "select v from shared where id = 2"
+    with manager.session() as session:
+        for _ in range(2):  # run 2 promotes the shape
+            session.query(sql)
+        hits = db.plan_cache.hits
+        front_end_calls.update(lex=0, parse=0)
+        assert session.query(sql).rows == [(20,)]
+        assert db.plan_cache.hits == hits + 1
+    # the session parses for its access check; the engine reuses the tokens
+    assert front_end_calls == {"lex": 1, "parse": 1}
+
+
+def test_served_statements_keep_parse_timing_in_the_query_log(manager, db):
+    with manager.session() as session:
+        for _ in range(3):  # a miss, a promoting miss, a hit
+            session.query("select v from shared where id = 1")
+        session.execute("select count(*) from shared")
+    rows = db.query(
+        "select sql, parse_ms from sys.query_log where sql like '%shared%'"
+    ).rows
+    assert len(rows) == 4
+    assert all(parse_ms is not None and parse_ms > 0 for _, parse_ms in rows)
+
+
 # -- rate limiting -----------------------------------------------------------
 
 
@@ -292,6 +375,32 @@ def test_one_statement_at_a_time_per_session(manager):
     thread.join(5)
     assert session.query("select count(*) from shared").rows == [(2,)]
     session.close()
+
+
+def test_statement_during_close_reports_the_session_closed(manager, db):
+    """Closing holds the session lock while it rolls back; a statement
+    submitted meanwhile is told the session is closed, not that another
+    statement is in flight."""
+    session = manager.session()
+    session.begin()
+    errors = []
+    rollback = db.rollback
+
+    def rollback_while_a_statement_arrives(txn):
+        def submit():
+            try:
+                session.execute("insert into shared values (6, 60)")
+            except ExecutionError as error:
+                errors.append(str(error))
+
+        thread = threading.Thread(target=submit)
+        thread.start()
+        thread.join(5)
+        rollback(txn)
+
+    db.rollback = rollback_while_a_statement_arrives
+    session.close()
+    assert len(errors) == 1 and errors[0].endswith("is closed")
 
 
 # -- shutdown ----------------------------------------------------------------

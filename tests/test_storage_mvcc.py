@@ -131,6 +131,33 @@ class TestSnapshotIsolation:
         with pytest.raises(ConstraintError):
             table.delete_row(t2, 0)
 
+    @pytest.mark.parametrize("bulk_loaded", [False, True])
+    def test_lock_free_read_between_the_appends_of_an_insert(self, bulk_loaded):
+        # Readers take no lock, so a scan may run between any two appends
+        # of a concurrent insert: it must neither fail nor see the row.
+        from array import array
+
+        txns = TransactionManager()
+        table = make_table(txns)
+        if bulk_loaded:
+            table.bulk_load([(1, "a")])  # all rows visible: the range fast path
+        else:
+            committed = txns.begin()
+            table.insert(committed, (1, "a"))
+            txns.commit(committed)
+        reader = txns.begin()
+        seen = []
+
+        class ReadBeforeAppend(array):
+            def append(self, value):
+                seen.append(table.read_columns(reader, ["id"]))
+                super().append(value)
+
+        table.created_tids = ReadBeforeAppend("q", table.created_tids)
+        table.deleted_tids = ReadBeforeAppend("q", table.deleted_tids)
+        table.insert(txns.begin(), (2, "b"))
+        assert seen == [([[1]], 1)] * 2
+
 
 class TestConstraints:
     def test_unique_violation_same_txn(self):
@@ -188,6 +215,49 @@ class TestConstraints:
         t2 = txns.begin()
         table.insert(t2, (1, "b"))
         txns.commit(t2)
+
+    def test_primary_key_violation_against_a_single_version_key(self):
+        txns = TransactionManager()
+        table = make_table(txns)
+        writer = txns.begin()
+        table.insert(writer, (1, "a"))
+        txns.commit(writer)
+        other = txns.begin()
+        with pytest.raises(ConstraintError, match="PRIMARY KEY"):
+            table.insert(other, (1, "b"))
+        assert table._unique_indexes[0] == {(1,): 0}  # a bare row id
+
+    def test_update_in_place_of_a_key_within_one_transaction(self):
+        txns = TransactionManager()
+        table = make_table(txns)
+        table.bulk_load([(1, "a")])
+        txn = txns.begin()
+        new_id = table.update_row(txn, 0, (1, "b"))
+        new_id = table.update_row(txn, new_id, (1, "c"))
+        # three versions share the key: the entry grew into a set
+        assert table._unique_indexes[0] == {(1,): {0, 1, 2}}
+        with pytest.raises(ConstraintError):
+            table.insert(txn, (1, "d"))
+        txns.commit(txn)
+        columns, n = table.read_columns(txns.begin(), ["v"])
+        assert (n, columns[0]) == (1, ["c"])
+        with pytest.raises(ConstraintError):
+            table.insert(txns.begin(), (1, "e"))
+
+    def test_rollback_unindexes_bare_and_shared_keys(self):
+        txns = TransactionManager()
+        table = make_table(txns)
+        table.bulk_load([(1, "a")])
+        txn = txns.begin()
+        table.insert(txn, (2, "x"))
+        table.update_row(txn, 0, (1, "b"))
+        txns.rollback(txn)
+        assert table._unique_indexes[0] == {(1,): {0}}
+        again = txns.begin()
+        table.insert(again, (2, "y"))  # the key the rollback freed
+        with pytest.raises(ConstraintError):
+            table.insert(again, (1, "z"))  # row 0 still holds key 1
+        txns.commit(again)
 
     def test_null_keys_never_collide(self):
         txns = TransactionManager()

@@ -266,6 +266,57 @@ class TestSegments:
         db.close()
 
 
+class TestReadOnlyCommits:
+    """A transaction that wrote nothing logs no commit record: autocommit
+    SELECT snapshots cost no WAL bytes and no fsync."""
+
+    def _wal_bytes(self, wal_dir):
+        return sum(os.path.getsize(os.path.join(wal_dir, n))
+                   for n in segments(wal_dir))
+
+    def test_selects_leave_the_wal_untouched(self, tmp_path):
+        db = Database(wal_dir=str(tmp_path), fsync="commit")
+        db.execute("create table t (id int primary key, v int)")
+        db.execute("insert into t values (1, 10), (2, 20)")
+        fsyncs = db.metrics.counter("wal.fsyncs").value
+        size = self._wal_bytes(str(tmp_path))
+        for value in range(5):
+            db.query(f"select v from t where id = {value}")
+            db.execute("select count(*) from t")
+        txn = db.begin()  # an explicit read-only transaction, too
+        db.query("select sum(v) from t", txn)
+        db.commit(txn)
+        assert db.metrics.counter("wal.fsyncs").value == fsyncs
+        assert self._wal_bytes(str(tmp_path)) == size
+        db.close()
+
+    def test_a_posting_still_fsyncs_once(self, tmp_path):
+        db = Database(wal_dir=str(tmp_path), fsync="commit")
+        db.execute("create table t (id int primary key, v int)")
+        before = db.metrics.counter("wal.fsyncs").value
+        txn = db.begin()
+        db.execute("insert into t values (1, 10)", txn)
+        db.query("select count(*) from t", txn)
+        db.execute("insert into t values (2, -10)", txn)
+        db.commit(txn)
+        assert db.metrics.counter("wal.fsyncs").value == before + 1
+        db.close()
+
+    def test_recovery_rebuilds_rows_written_between_reads(self, tmp_path):
+        db = Database(wal_dir=str(tmp_path), fsync="commit")
+        db.execute("create table t (id int primary key, v int)")
+        for i in range(6):
+            db.execute(f"insert into t values ({i}, {i * 10})")
+            db.query("select count(*) from t")
+        db.execute("delete from t where id = 0")
+        db.query("select sum(v) from t")
+        expected = rows_of(db)
+        db.close()
+        recovered = Database.recover(str(tmp_path))
+        assert rows_of(recovered) == expected
+        recovered.close()
+
+
 class TestJsonlHardening:
     def _dump(self, tmp_path):
         wal, = [WriteAheadLog()]
